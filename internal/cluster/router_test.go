@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,11 +182,36 @@ func TestRoutedResponsesByteIdentical(t *testing.T) {
 	}
 }
 
+// heldTransport holds the first slice forward until release is closed,
+// so a test decides when the leader's cold build may start.
+type heldTransport struct {
+	http.Transport
+	release chan struct{}
+	held    atomic.Bool
+}
+
+func (h *heldTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && req.URL.Path == "/v1/slice" && h.held.CompareAndSwap(false, true) {
+		select {
+		case <-h.release:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	return h.Transport.RoundTrip(req)
+}
+
 // TestRouterSingleflight: concurrent cold requests for one ContentKey
 // must cost the cluster exactly one cold build — followers wait at the
-// router's flight gate and then hit the now-warm shard.
+// router's flight gate and then hit the now-warm shard. The leader's
+// forward is held until every follower waits at the gate, so the
+// interleaving does not depend on how fast a cold build is.
 func TestRouterSingleflight(t *testing.T) {
-	lc := startLocal(t, 2, server.Config{}, Config{})
+	hold := &heldTransport{release: make(chan struct{})}
+	lc := startLocal(t, 2, server.Config{}, Config{Client: &http.Client{Transport: hold}})
+	// Cleanups run last-in first-out: drop the forwarding connections
+	// before the workers shut down, so their drain does not wait on them.
+	t.Cleanup(hold.CloseIdleConnections)
 	prog := testProgram("flight", 7)
 
 	const n = 8
@@ -198,6 +224,10 @@ func TestRouterSingleflight(t *testing.T) {
 			statuses[i], _ = postSlice(t, lc.URL(), prog, nil, "")
 		}(i)
 	}
+	for deadline := time.Now().Add(10 * time.Second); routerStats(t, lc.URL()).Router.DedupWaits < n-1 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(hold.release)
 	wg.Wait()
 	for i, s := range statuses {
 		if s != http.StatusOK {
@@ -208,8 +238,8 @@ func TestRouterSingleflight(t *testing.T) {
 	if st.Cache.ColdBuilds != 1 {
 		t.Errorf("%d cold builds across the cluster for one key, want 1", st.Cache.ColdBuilds)
 	}
-	if st.Router.DedupWaits == 0 {
-		t.Error("no requests waited at the router singleflight gate")
+	if st.Router.DedupWaits != n-1 {
+		t.Errorf("%d requests waited at the router singleflight gate, want %d", st.Router.DedupWaits, n-1)
 	}
 }
 

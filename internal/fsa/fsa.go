@@ -1,6 +1,6 @@
 // Package fsa implements the nondeterministic and deterministic finite
 // automata, and the operations on them — reverse, epsilon removal,
-// determinization (subset construction), minimization (Hopcroft),
+// determinization (subset construction), minimization (Valmari–Lehtinen),
 // complement, intersection, language equality, and relabeling — that the
 // specialization-slicing algorithm composes (paper Alg. 1, lines 4–8, and
 // the §7/§8.3 extensions). It plays the role OpenFST plays in the paper's

@@ -181,20 +181,25 @@ func TestOperationsPreserveLanguage(t *testing.T) {
 	}
 }
 
-// TestHopcroftMatchesMoore checks that Hopcroft's minimization produces the
-// same number of states as the Moore reference on random NFAs, and that the
-// two are language-equal.
+// TestHopcroftMatchesMoore checks that the reference Hopcroft oracle (see
+// reference_test.go) and the production minimizer produce the same number
+// of states as the Moore reference on random NFAs, and that all three are
+// language-equal.
 func TestHopcroftMatchesMoore(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 300; iter++ {
 		a := randomNFA(rng)
-		h := a.Minimize()
+		h := hopcroftMinimize(a)
+		v := a.Minimize()
 		m := a.MinimizeMoore()
-		if h.NumStates() != m.NumStates() {
-			t.Fatalf("iter %d: hopcroft %d states, moore %d states\n%s", iter, h.NumStates(), m.NumStates(), a)
+		if h.NumStates() != m.NumStates() || v.NumStates() != m.NumStates() {
+			t.Fatalf("iter %d: hopcroft %d, minimize %d, moore %d states\n%s", iter, h.NumStates(), v.NumStates(), m.NumStates(), a)
 		}
-		if !Equal(h, m) {
-			t.Fatalf("iter %d: hopcroft and moore languages differ", iter)
+		if err := isomorphic(h, m); err != nil {
+			t.Fatalf("iter %d: hopcroft vs moore: %v", iter, err)
+		}
+		if err := isomorphic(v, m); err != nil {
+			t.Fatalf("iter %d: minimize vs moore: %v", iter, err)
 		}
 	}
 }

@@ -5,7 +5,8 @@ import "sort"
 // Minimize returns the minimal DFA for the automaton's language. The input
 // may be any automaton; it is determinized and trimmed first. The result is
 // deterministic, trim, and unique up to state renaming. Minimization runs
-// Hopcroft's algorithm on dense structures (see pipeline.go).
+// Valmari and Lehtinen's partition refinement on the partial transition
+// function (see pipeline.go).
 func (a *FSA) Minimize() *FSA {
 	d := a
 	if !d.IsDeterministic() {
@@ -15,12 +16,14 @@ func (a *FSA) Minimize() *FSA {
 	if d.numStates == 0 {
 		return d
 	}
-	return hopcroft(d)
+	ar := getArena()
+	defer putArena(ar)
+	return minimize(d, ar)
 }
 
 // MinimizeMoore is a reference implementation of DFA minimization by
 // straightforward partition refinement (Moore's algorithm). It is used as a
-// test oracle for Hopcroft's algorithm.
+// test oracle for the production minimizer.
 func (a *FSA) MinimizeMoore() *FSA {
 	d := a
 	if !d.IsDeterministic() {

@@ -2,7 +2,8 @@ package fsa
 
 // Dense automaton pipeline: per-automaton symbol-indexed adjacency (CSR),
 // bitset subset construction with an FNV interning table in place of sorted
-// string keys, in-place Hopcroft partition refinement, and the fused
+// string keys, Valmari–Lehtinen partition refinement on the partial
+// transition function, and the fused
 // reverse→determinize→minimize→reverse chain (MRD) that core.Specialize
 // runs per slice request (Alg. 1 lines 4–8). All scratch is drawn from a
 // pooled arena, so warm requests run the whole chain with near-zero
@@ -26,12 +27,13 @@ type pipeArena struct {
 	i32off int
 	u64buf []uint64
 	u64off int
+	words  int // int32-sized words requested since the borrow
 
 	symbuf []Symbol // materialized sorted alphabet (valid until next buildAdjacency)
-	work   []int32  // determinize worklist of subset ids / hopcroft splitters
+	work   []int32  // determinize worklist of subset ids
 	cwork  []int32  // closure / trim DFS stack
-	bmem   []int32  // hopcroft: splitter-block member snapshot
-	tbl    []int32  // hopcroft: blocks touched by the current splitter
+	btouch []int32  // minimize: blocks with a marked state
+	ctouch []int32  // minimize: cords with a marked transition
 
 	touched []int    // determinize: dense symbol indexes hit by a subset
 	symSets []bitset // determinize: per-symbol move accumulation sets
@@ -44,7 +46,7 @@ var pipePool = sync.Pool{New: func() any { return &pipeArena{} }}
 
 func getArena() *pipeArena {
 	ar := pipePool.Get().(*pipeArena)
-	ar.i32off, ar.u64off = 0, 0
+	ar.i32off, ar.u64off, ar.words = 0, 0, 0
 	return ar
 }
 
@@ -53,6 +55,7 @@ func putArena(ar *pipeArena) { pipePool.Put(ar) }
 // i32 bump-allocates a zeroed []int32. Slices handed out earlier in the same
 // run stay valid (they pin the old backing if it is replaced by growth).
 func (ar *pipeArena) i32(n int) []int32 {
+	ar.words += n
 	if ar.i32off+n > len(ar.i32buf) {
 		c := 2 * len(ar.i32buf)
 		if c < ar.i32off+n {
@@ -72,6 +75,7 @@ func (ar *pipeArena) i32(n int) []int32 {
 
 // u64 bump-allocates a zeroed []uint64 (a fixed-width bitset).
 func (ar *pipeArena) u64(n int) []uint64 {
+	ar.words += 2 * n
 	if ar.u64off+n > len(ar.u64buf) {
 		c := 2 * len(ar.u64buf)
 		if c < ar.u64off+n {
@@ -374,211 +378,197 @@ func determinize(adj *adjacency, starts, finals bitset, ar *pipeArena) *FSA {
 	return d
 }
 
-// hopcroft runs Hopcroft's partition-refinement minimization on a trim DFA,
-// on dense structures: a flat successor array, per-symbol inverse-CSR, and
-// in-place partition refinement over a state permutation. Missing
-// transitions are handled by an implicit dead state that is never emitted.
-func hopcroft(d *FSA) *FSA {
-	ar := getArena()
-	defer putArena(ar)
-	return hopcroftWith(d, ar)
+// partition is a refinable partition of the elements 0..n-1 (Valmari and
+// Lehtinen's data structure): elems is a permutation grouped by set, loc
+// its inverse, and set s spans elems[first[s]:past[s]) with its marked
+// members moved to the front, elems[first[s]:first[s]+marked[s]). Marking
+// an element and splitting every marked set off its unmarked rest cost
+// O(1) per marked element.
+type partition struct {
+	sets    int
+	elems   []int32
+	loc     []int32
+	set     []int32 // set[e]: the set holding element e
+	first   []int32
+	past    []int32
+	marked  []int32
+	touched []int32 // sets with a marked member, each listed once
 }
 
-func hopcroftWith(d *FSA, ar *pipeArena) *FSA {
-	n := d.numStates
-	adj := buildAdjacency(d, false, ar)
-	k := len(adj.syms)
-	dead := n
-	total := n + 1
+// init makes every element 0..n-1 one set (none when n == 0), with all
+// scratch drawn from the arena; touched is caller-owned backing.
+func (p *partition) init(n int, ar *pipeArena, touched []int32) {
+	p.elems, p.loc, p.set = ar.i32(n), ar.i32(n), ar.i32(n)
+	p.first, p.past, p.marked = ar.i32(n), ar.i32(n), ar.i32(n)
+	p.touched = touched[:0]
+	p.sets = 0
+	if n > 0 {
+		p.sets, p.past[0] = 1, int32(n)
+	}
+	for e := range p.elems {
+		p.elems[e], p.loc[e] = int32(e), int32(e)
+	}
+}
 
-	// succ[s*k+si] = successor+1; 0 means the implicit dead state.
-	succ := ar.i32(total * k)
-	for s := 0; s < n; s++ {
-		for j := adj.start[s]; j < adj.start[s+1]; j++ {
-			succ[s*k+int(adj.tsym[j])] = adj.tto[j] + 1
-		}
+// mark moves e into its set's marked prefix. Each element is marked at
+// most once between splits (the callers' DFA invariant guarantees it).
+func (p *partition) mark(e int32) {
+	s := p.set[e]
+	i, j := p.loc[e], p.first[s]+p.marked[s]
+	o := p.elems[j]
+	p.elems[i], p.loc[o] = o, i
+	p.elems[j], p.loc[e] = e, j
+	if p.marked[s] == 0 {
+		p.touched = append(p.touched, s)
 	}
-	// Inverse CSR over (symbol, target): every (state, symbol) pair
-	// contributes one predecessor entry (missing transitions target dead).
-	invStart := ar.i32(k*total + 1)
-	for s := 0; s < total; s++ {
-		for si := 0; si < k; si++ {
-			to := dead
-			if s < n {
-				if v := succ[s*k+si]; v != 0 {
-					to = int(v - 1)
-				}
-			}
-			invStart[si*total+to+1]++
-		}
-	}
-	for i := 1; i <= k*total; i++ {
-		invStart[i] += invStart[i-1]
-	}
-	invPred := ar.i32(total * k)
-	invCur := ar.i32(k * total)
-	copy(invCur, invStart[:k*total])
-	for s := 0; s < total; s++ {
-		for si := 0; si < k; si++ {
-			to := dead
-			if s < n {
-				if v := succ[s*k+si]; v != 0 {
-					to = int(v - 1)
-				}
-			}
-			invPred[invCur[si*total+to]] = int32(s)
-			invCur[si*total+to]++
-		}
-	}
+	p.marked[s]++
+}
 
-	// Partition refinement state: elems is a permutation of the states,
-	// grouped by block; each block is elems[first:end) with its marked
-	// members in elems[first:mid).
-	elems := ar.i32(total)
-	pos := ar.i32(total)
-	blk := ar.i32(total)
-	first := ar.i32(total)
-	mid := ar.i32(total)
-	end := ar.i32(total)
-	nf := d.finals.count()
-	i, j := 0, nf
-	for s := 0; s < n; s++ {
-		if d.finals.get(s) {
-			elems[i] = int32(s)
-			i++
-		} else {
-			elems[j] = int32(s)
-			j++
-		}
-	}
-	elems[j] = int32(dead)
-	for e := 0; e < total; e++ {
-		pos[elems[e]] = int32(e)
-	}
-	nb := 0
-	addInit := func(lo, hi int) {
-		first[nb], mid[nb], end[nb] = int32(lo), int32(lo), int32(hi)
-		for e := lo; e < hi; e++ {
-			blk[elems[e]] = int32(nb)
-		}
-		nb++
-	}
-	if nf > 0 {
-		addInit(0, nf)
-	}
-	addInit(nf, total)
-
-	// Worklist of (block, symbol) splitters, encoded block*k+symbol.
-	inWork := bitset(ar.u64(bitsWords(total * k)))
-	work := ar.work[:0]
-	push := func(b, si int) {
-		sp := b*k + si
-		if inWork[sp>>6]&(1<<(uint(sp)&63)) == 0 {
-			inWork[sp>>6] |= 1 << (uint(sp) & 63)
-			work = append(work, int32(sp))
-		}
-	}
-	for b := 0; b < nb; b++ {
-		for si := 0; si < k; si++ {
-			push(b, si)
-		}
-	}
-
-	for len(work) > 0 {
-		sp := int(work[len(work)-1])
-		work = work[:len(work)-1]
-		inWork[sp>>6] &^= 1 << (uint(sp) & 63)
-		bsp, si := sp/k, sp%k
-
-		// Snapshot the splitter block: marking permutes elems, possibly
-		// within this very block.
-		bm := ar.bmem[:0]
-		for e := first[bsp]; e < end[bsp]; e++ {
-			bm = append(bm, elems[e])
-		}
-		// Mark every state with a si-transition into the splitter block.
-		tb := ar.tbl[:0]
-		for _, qe := range bm {
-			row := si*total + int(qe)
-			for x := invStart[row]; x < invStart[row+1]; x++ {
-				p := invPred[x]
-				pb := blk[p]
-				if pos[p] < mid[pb] {
-					continue // already marked
-				}
-				if mid[pb] == first[pb] {
-					tb = append(tb, pb)
-				}
-				mp, pe := mid[pb], pos[p]
-				o := elems[mp]
-				elems[mp], elems[pe] = p, o
-				pos[p], pos[o] = mp, pe
-				mid[pb] = mp + 1
-			}
-		}
-		ar.bmem = bm[:0]
-		// Split every block the marks cut.
-		for _, pbv := range tb {
-			pb := int(pbv)
-			szIn := int(mid[pb] - first[pb])
-			szOut := int(end[pb] - mid[pb])
-			if szOut == 0 {
-				mid[pb] = first[pb]
-				continue
-			}
-			// The marked part keeps block id pb; the unmarked tail becomes
-			// a new block.
-			newb := nb
-			nb++
-			first[newb], mid[newb], end[newb] = mid[pb], mid[pb], end[pb]
-			end[pb], mid[pb] = first[newb], first[pb]
-			for e := first[newb]; e < end[newb]; e++ {
-				blk[elems[e]] = int32(newb)
-			}
-			for s2 := 0; s2 < k; s2++ {
-				if spb := pb*k + s2; inWork[spb>>6]&(1<<(uint(spb)&63)) != 0 {
-					push(newb, s2)
-				} else if szIn <= szOut {
-					push(pb, s2)
-				} else {
-					push(newb, s2)
-				}
-			}
-		}
-		ar.tbl = tb[:0]
-	}
-	ar.work = work[:0]
-
-	// Emit the quotient automaton, skipping the dead block.
-	deadBlock := blk[dead]
-	remap := ar.i32(nb) // block -> state + 1
-	m := New(0)
-	for b := 0; b < nb; b++ {
-		if int32(b) != deadBlock {
-			remap[b] = int32(m.AddState()) + 1
-		}
-	}
-	m.Reserve(d.index.n)
-	for s := 0; s < n; s++ {
-		fb := remap[blk[s]]
-		if fb == 0 {
+// split separates every touched set into its marked and unmarked parts;
+// the smaller part becomes a new set, so each element changes set id
+// O(log n) times over a whole refinement.
+func (p *partition) split() {
+	for _, s := range p.touched {
+		j := p.first[s] + p.marked[s]
+		if j == p.past[s] {
+			p.marked[s] = 0
 			continue
 		}
-		for j := adj.start[s]; j < adj.start[s+1]; j++ {
-			if tbv := remap[blk[adj.tto[j]]]; tbv != 0 {
-				m.Add(int(fb-1), adj.syms[adj.tsym[j]], int(tbv-1))
+		z := p.sets
+		p.sets++
+		if p.marked[s] <= p.past[s]-j {
+			p.first[z], p.past[z], p.first[s] = p.first[s], j, j
+		} else {
+			p.first[z], p.past[z], p.past[s] = j, p.past[s], j
+		}
+		for i := p.first[z]; i < p.past[z]; i++ {
+			p.set[p.elems[i]] = int32(z)
+		}
+		p.marked[s], p.marked[z] = 0, 0
+	}
+	p.touched = p.touched[:0]
+}
+
+// minimize is Valmari and Lehtinen's minimization of a trim DFA on its
+// partial transition function ("Efficient minimization of DFAs with
+// partial transition functions", STACS 2008). It refines a partition of
+// the states (blocks) together with a partition of the transitions into
+// cords, which start as the transitions grouped by label: a cord splits
+// the blocks by which states have a transition in it, and a new block
+// splits the cords by which transitions enter it. Missing transitions need
+// no dead state and no state × symbol table, so the cost is O(n + m log n)
+// time and O(n + m + k) space for n states, m transitions and k labels,
+// however wide the alphabet (plus one word per 64 symbol values, the
+// alphabet bitset's own size, for the label ranks). The quotient keeps one representative state
+// per block, the block's lowest-numbered state, and is numbered in
+// representative order; the representatives' transitions are exactly the
+// quotient's, so it needs neither deduplication nor trimming.
+func minimize(d *FSA, ar *pipeArena) *FSA {
+	n, m := d.numStates, d.index.n
+	// Dense labels: a symbol's label is its rank in the alphabet, read as
+	// the count of alphabet symbols in lower bitset words plus those below
+	// it in its own word.
+	rank := ar.i32(len(d.alpha))
+	k := 0
+	for wi, w := range d.alpha {
+		rank[wi] = int32(k)
+		k += bits.OnesCount64(w)
+	}
+	label := func(s Symbol) int32 {
+		return rank[s>>6] + int32(bits.OnesCount64(d.alpha[s>>6]&(1<<(uint(s)&63)-1)))
+	}
+
+	// Transitions are numbered in state order: tail[t] is t's source, and
+	// inStart/inTr is the CSR of transitions by target.
+	tail := ar.i32(m)
+	inStart := ar.i32(n + 1)
+	cstart := ar.i32(k + 1) // transitions per label, then offsets
+	for _, ts := range d.out {
+		for _, t := range ts {
+			inStart[t.To+1]++
+			cstart[label(t.Sym)+1]++
+		}
+	}
+	for s := 0; s < n; s++ {
+		inStart[s+1] += inStart[s]
+	}
+	for l := 0; l < k; l++ {
+		cstart[l+1] += cstart[l]
+	}
+	var blocks, cords partition
+	blocks.init(n, ar, ar.btouch)
+	cords.init(m, ar, ar.ctouch)
+	inTr := ar.i32(m)
+	inCur := ar.i32(n)
+	copy(inCur, inStart[:n])
+	// The initial cords: transitions grouped by label, in state order
+	// within a label (a counting sort).
+	ccur := ar.i32(k)
+	copy(ccur, cstart[:k])
+	tr := int32(0)
+	for from, ts := range d.out {
+		for _, t := range ts {
+			tail[tr] = int32(from)
+			inTr[inCur[t.To]] = tr
+			inCur[t.To]++
+			l := label(t.Sym)
+			cords.elems[ccur[l]], cords.loc[tr], cords.set[tr] = tr, ccur[l], l
+			ccur[l]++
+			tr++
+		}
+	}
+	if m > 0 {
+		cords.sets = k
+		for l := 0; l < k; l++ {
+			cords.first[l], cords.past[l] = cstart[l], cstart[l+1]
+		}
+	}
+	// The initial blocks: final and non-final states.
+	d.finals.forEach(func(s int) { blocks.mark(int32(s)) })
+	blocks.split()
+
+	// Block 0 is never a splitter: the initial cords are whole label
+	// classes and every other block id is processed once, so transitions
+	// into block 0 are what remains of a cord once the others split off.
+	for b, c := 1, 0; c < cords.sets; c++ {
+		for i := cords.first[c]; i < cords.past[c]; i++ {
+			blocks.mark(tail[cords.elems[i]])
+		}
+		blocks.split()
+		for ; b < blocks.sets; b++ {
+			for i := blocks.first[b]; i < blocks.past[b]; i++ {
+				q := blocks.elems[i]
+				for j := inStart[q]; j < inStart[q+1]; j++ {
+					cords.mark(inTr[j])
+				}
 			}
+			cords.split()
 		}
 	}
-	if sbv := remap[blk[d.Starts()[0]]]; sbv != 0 {
-		m.SetStart(int(sbv - 1))
-	}
-	for _, f := range d.Finals() {
-		if fbv := remap[blk[f]]; fbv != 0 {
-			m.SetFinal(int(fbv - 1))
+	ar.btouch, ar.ctouch = blocks.touched[:0], cords.touched[:0]
+
+	// Emit the quotient from each block's lowest state.
+	qid := ar.i32(blocks.sets) // block -> quotient state + 1
+	reps := ar.i32(blocks.sets)
+	nq, mq := 0, 0
+	for s := 0; s < n; s++ {
+		if b := blocks.set[s]; qid[b] == 0 {
+			qid[b] = int32(nq) + 1
+			reps[nq] = int32(s)
+			nq++
+			mq += len(d.out[s])
 		}
 	}
-	return m.Trim()
+	q := New(nq)
+	q.Reserve(mq)
+	for i, s := range reps {
+		for _, t := range d.out[s] {
+			q.Add(i, t.Sym, int(qid[blocks.set[t.To]]-1))
+		}
+	}
+	d.starts.forEach(func(s int) { q.SetStart(int(qid[blocks.set[s]] - 1)) })
+	d.finals.forEach(func(s int) { q.SetFinal(int(qid[blocks.set[s]] - 1)) })
+	return q
 }
 
 // MRDStats reports the fused pipeline's sub-phase breakdown (the automaton
@@ -610,7 +600,7 @@ func MRD(a *FSA) (*FSA, MRDStats) {
 	d = d.Trim()
 	m := d
 	if d.NumStates() > 0 {
-		m = hopcroftWith(d, ar)
+		m = minimize(d, ar)
 	}
 	st.Minimize = time.Since(t1)
 	return m.Reverse(), st

@@ -24,11 +24,9 @@ type PointsTo map[string]map[string]bool
 
 // key returns the points-to key for variable name v in function fn (fnptr
 // globals use their bare name).
-func key(prog *lang.Program, fn *lang.FuncDecl, v string) string {
-	for _, g := range prog.Globals {
-		if g.Name == v && g.IsFnPtr {
-			return v
-		}
+func key(nt *lang.Names, fn *lang.FuncDecl, v string) string {
+	if nt.FnPtrGlobal(v) {
+		return v
 	}
 	return fn.Name + "/" + v
 }
@@ -38,6 +36,10 @@ func key(prog *lang.Program, fn *lang.FuncDecl, v string) string {
 // model uninitialized pointers: a dispatch procedure tests only the
 // functions that may be assigned.
 func Analyze(prog *lang.Program) PointsTo {
+	return analyze(prog, lang.NewNames(prog))
+}
+
+func analyze(prog *lang.Program, nt *lang.Names) PointsTo {
 	pts := PointsTo{}
 	get := func(k string) map[string]bool {
 		if pts[k] == nil {
@@ -48,12 +50,14 @@ func Analyze(prog *lang.Program) PointsTo {
 	type copyEdge struct{ from, to string }
 	var copies []copyEdge
 
-	addExpr := func(fn *lang.FuncDecl, dst string, e lang.Expr) {
+	// addExpr binds e to variable dst of dstFn. Only function values and
+	// variable copies flow, so the destination key is built only for them.
+	addExpr := func(fn, dstFn *lang.FuncDecl, dst string, e lang.Expr) {
 		switch x := e.(type) {
 		case *lang.FuncRef:
-			get(dst)[x.Name] = true
+			get(key(nt, dstFn, dst))[x.Name] = true
 		case *lang.VarRef:
-			copies = append(copies, copyEdge{key(prog, fn, x.Name), dst})
+			copies = append(copies, copyEdge{key(nt, fn, x.Name), key(nt, dstFn, dst)})
 		}
 	}
 
@@ -67,21 +71,21 @@ func Analyze(prog *lang.Program) PointsTo {
 				switch x := s.(type) {
 				case *lang.DeclStmt:
 					if x.Init != nil {
-						addExpr(fn, key(prog, fn, x.Name), x.Init)
+						addExpr(fn, fn, x.Name, x.Init)
 					}
 				case *lang.AssignStmt:
-					addExpr(fn, key(prog, fn, x.LHS), x.RHS)
+					addExpr(fn, fn, x.LHS, x.RHS)
 				case *lang.CallStmt:
 					var callees []string
 					if x.Indirect {
-						for f := range pts[key(prog, fn, x.Callee)] {
+						for f := range pts[key(nt, fn, x.Callee)] {
 							callees = append(callees, f)
 						}
 					} else {
 						callees = []string{x.Callee}
 					}
 					for _, cn := range callees {
-						callee := prog.Func(cn)
+						callee := nt.Func(cn)
 						if callee == nil {
 							continue
 						}
@@ -90,7 +94,7 @@ func Analyze(prog *lang.Program) PointsTo {
 								// The argument expression is evaluated in
 								// the *caller*'s scope; the destination is
 								// the callee's parameter.
-								addExpr(fn, key(prog, callee, callee.Params[i].Name), a)
+								addExpr(fn, callee, callee.Params[i].Name, a)
 							}
 						}
 					}
@@ -121,14 +125,17 @@ func Analyze(prog *lang.Program) PointsTo {
 // procedures created.
 func Transform(prog *lang.Program) (*lang.Program, int, error) {
 	out := lang.CloneProgram(prog)
-	pts := Analyze(out)
+	// The table indexes the input's functions only; the dispatch
+	// procedures appended below are never looked up by name.
+	nt := lang.NewNames(out)
+	pts := analyze(out, nt)
 
 	dispatchFor := map[string]string{} // signature key -> dispatch proc name
 	created := 0
 
 	for _, fn := range out.Funcs {
 		var err error
-		rewriteBlock(out, fn, pts, dispatchFor, &created, fn.Body, &err)
+		rewriteBlock(out, nt, fn, pts, dispatchFor, &created, fn.Body, &err)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -139,23 +146,23 @@ func Transform(prog *lang.Program) (*lang.Program, int, error) {
 	return out, created, nil
 }
 
-func rewriteBlock(prog *lang.Program, fn *lang.FuncDecl, pts PointsTo, dispatchFor map[string]string, created *int, b *lang.Block, err *error) {
+func rewriteBlock(prog *lang.Program, nt *lang.Names, fn *lang.FuncDecl, pts PointsTo, dispatchFor map[string]string, created *int, b *lang.Block, err *error) {
 	if b == nil || *err != nil {
 		return
 	}
 	for i, s := range b.Stmts {
 		switch x := s.(type) {
 		case *lang.IfStmt:
-			rewriteBlock(prog, fn, pts, dispatchFor, created, x.Then, err)
-			rewriteBlock(prog, fn, pts, dispatchFor, created, x.Else, err)
+			rewriteBlock(prog, nt, fn, pts, dispatchFor, created, x.Then, err)
+			rewriteBlock(prog, nt, fn, pts, dispatchFor, created, x.Else, err)
 		case *lang.WhileStmt:
-			rewriteBlock(prog, fn, pts, dispatchFor, created, x.Body, err)
+			rewriteBlock(prog, nt, fn, pts, dispatchFor, created, x.Body, err)
 		case *lang.CallStmt:
 			if !x.Indirect {
 				continue
 			}
 			var cands []string
-			for f := range pts[key(prog, fn, x.Callee)] {
+			for f := range pts[key(nt, fn, x.Callee)] {
 				cands = append(cands, f)
 			}
 			sort.Strings(cands)
@@ -163,7 +170,7 @@ func rewriteBlock(prog *lang.Program, fn *lang.FuncDecl, pts PointsTo, dispatchF
 				*err = fmt.Errorf("funcptr: %s: indirect call through %q with empty points-to set", x.Pos, x.Callee)
 				return
 			}
-			name, e := dispatchProc(prog, dispatchFor, created, cands, len(x.Args), x.Target != "")
+			name, e := dispatchProc(prog, nt, dispatchFor, created, cands, len(x.Args), x.Target != "")
 			if e != nil {
 				*err = fmt.Errorf("funcptr: %s: %v", x.Pos, e)
 				return
@@ -182,9 +189,9 @@ func rewriteBlock(prog *lang.Program, fn *lang.FuncDecl, pts PointsTo, dispatchF
 
 // dispatchProc returns (creating on demand) the dispatch procedure for the
 // given candidate set / arity / value-use signature.
-func dispatchProc(prog *lang.Program, dispatchFor map[string]string, created *int, cands []string, arity int, needsValue bool) (string, error) {
+func dispatchProc(prog *lang.Program, nt *lang.Names, dispatchFor map[string]string, created *int, cands []string, arity int, needsValue bool) (string, error) {
 	for _, c := range cands {
-		callee := prog.Func(c)
+		callee := nt.Func(c)
 		if callee == nil {
 			return "", fmt.Errorf("candidate %q is not a function", c)
 		}

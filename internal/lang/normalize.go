@@ -2,33 +2,73 @@ package lang
 
 import "fmt"
 
-// scope holds per-function symbol information used by resolution and
-// normalization.
-type scope struct {
-	prog   *Program
-	fn     *FuncDecl
-	vars   map[string]bool // params + locals
-	fnptrs map[string]bool // subset of vars (plus fnptr globals) holding function values
+// Names is the name table of one pass over a program: every function by
+// name and every global with its fnptr flag, so each lookup is O(1)
+// instead of a scan of Program.Funcs or Program.Globals. Build a table per
+// pass and do not keep it across edits: Funcs and Globals are exported
+// slices that callers change in place, which a cached table would miss.
+type Names struct {
+	funcs   map[string]*FuncDecl
+	globals map[string]bool // global name -> declared fnptr
+	err     error           // first declaration conflict, as resolve reports it
 }
 
-func newScope(prog *Program, fn *FuncDecl) (*scope, error) {
-	sc := &scope{prog: prog, fn: fn, vars: map[string]bool{}, fnptrs: map[string]bool{}}
-	for _, g := range prog.Globals {
-		if g.IsFnPtr {
-			sc.fnptrs[g.Name] = true
-		}
+// NewNames indexes prog's functions and globals. Like Program.Func, a
+// duplicated function name resolves to its first declaration.
+func NewNames(prog *Program) *Names {
+	nt := &Names{
+		funcs:   make(map[string]*FuncDecl, len(prog.Funcs)),
+		globals: make(map[string]bool, len(prog.Globals)),
 	}
+	for _, g := range prog.Globals {
+		fp, dup := nt.globals[g.Name]
+		if dup && nt.err == nil {
+			nt.err = fmt.Errorf("%s: duplicate global %q", g.Pos, g.Name)
+		}
+		nt.globals[g.Name] = fp || g.IsFnPtr
+	}
+	for _, f := range prog.Funcs {
+		if _, dup := nt.funcs[f.Name]; dup {
+			if nt.err == nil {
+				nt.err = fmt.Errorf("%s: duplicate function %q", f.Pos, f.Name)
+			}
+			continue
+		}
+		if _, isGlobal := nt.globals[f.Name]; isGlobal && nt.err == nil {
+			nt.err = fmt.Errorf("%s: function %q collides with a global", f.Pos, f.Name)
+		}
+		nt.funcs[f.Name] = f
+	}
+	return nt
+}
+
+// Func returns the function with the given name, or nil.
+func (nt *Names) Func(name string) *FuncDecl { return nt.funcs[name] }
+
+// FnPtrGlobal reports whether name is a global declared fnptr.
+func (nt *Names) FnPtrGlobal(name string) bool { return nt.globals[name] }
+
+// scope holds per-function symbol information used by resolution. One
+// scope serves every function of a pass: reset re-fills its locals map.
+type scope struct {
+	names *Names
+	fn    *FuncDecl
+	// locals maps each param and local to whether it is declared fnptr.
+	locals map[string]bool
+}
+
+// reset scopes fn's params and locals, checking their declarations.
+func (sc *scope) reset(fn *FuncDecl) error {
+	sc.fn = fn
+	clear(sc.locals)
 	for _, pm := range fn.Params {
-		if sc.vars[pm.Name] {
-			return nil, fmt.Errorf("%s: duplicate parameter %q in %s", fn.Pos, pm.Name, fn.Name)
+		if _, dup := sc.locals[pm.Name]; dup {
+			return fmt.Errorf("%s: duplicate parameter %q in %s", fn.Pos, pm.Name, fn.Name)
 		}
-		if prog.Func(pm.Name) != nil {
-			return nil, fmt.Errorf("%s: parameter %q shadows a function", fn.Pos, pm.Name)
+		if sc.names.Func(pm.Name) != nil {
+			return fmt.Errorf("%s: parameter %q shadows a function", fn.Pos, pm.Name)
 		}
-		sc.vars[pm.Name] = true
-		if pm.IsFnPtr {
-			sc.fnptrs[pm.Name] = true
-		}
+		sc.locals[pm.Name] = pm.IsFnPtr
 	}
 	var err error
 	WalkStmts(fn.Body, func(s Stmt) {
@@ -36,60 +76,52 @@ func newScope(prog *Program, fn *FuncDecl) (*scope, error) {
 		if !ok || err != nil {
 			return
 		}
-		if sc.vars[d.Name] {
+		if _, dup := sc.locals[d.Name]; dup {
 			err = fmt.Errorf("%s: duplicate local %q in %s (MicroC locals have flat function scope)", d.Pos, d.Name, fn.Name)
 			return
 		}
-		if prog.Func(d.Name) != nil {
+		if sc.names.Func(d.Name) != nil {
 			err = fmt.Errorf("%s: local %q shadows a function", d.Pos, d.Name)
 			return
 		}
-		sc.vars[d.Name] = true
-		if d.IsFnPtr {
-			sc.fnptrs[d.Name] = true
-		}
+		sc.locals[d.Name] = d.IsFnPtr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sc, nil
+	return err
 }
 
 // known reports whether name is visible in the scope (local, param, or global).
 func (sc *scope) known(name string) bool {
-	return sc.vars[name] || sc.prog.Global(name)
+	if _, ok := sc.locals[name]; ok {
+		return true
+	}
+	_, ok := sc.names.globals[name]
+	return ok
+}
+
+// fnptr reports whether name may hold a function value: a fnptr param or
+// local, or a fnptr global — whose flag a same-named plain local does not
+// clear.
+func (sc *scope) fnptr(name string) bool {
+	return sc.locals[name] || sc.names.globals[name]
 }
 
 // resolve performs name resolution on a freshly parsed program: it converts
 // variable references that name functions into FuncRefs, classifies calls as
 // direct or indirect, and checks declarations, arities, and main's shape.
 func resolve(prog *Program) error {
-	seenGlobal := map[string]bool{}
-	for _, g := range prog.Globals {
-		if seenGlobal[g.Name] {
-			return fmt.Errorf("%s: duplicate global %q", g.Pos, g.Name)
-		}
-		seenGlobal[g.Name] = true
+	nt := NewNames(prog)
+	if nt.err != nil {
+		return nt.err
 	}
-	seenFunc := map[string]bool{}
-	for _, f := range prog.Funcs {
-		if seenFunc[f.Name] {
-			return fmt.Errorf("%s: duplicate function %q", f.Pos, f.Name)
-		}
-		if seenGlobal[f.Name] {
-			return fmt.Errorf("%s: function %q collides with a global", f.Pos, f.Name)
-		}
-		seenFunc[f.Name] = true
-	}
-	if m := prog.Func("main"); m == nil {
+	if m := nt.Func("main"); m == nil {
 		return fmt.Errorf("program has no main function")
 	} else if len(m.Params) != 0 {
 		return fmt.Errorf("%s: main must take no parameters", m.Pos)
 	}
 
+	sc := &scope{names: nt, locals: map[string]bool{}}
 	for _, fn := range prog.Funcs {
-		sc, err := newScope(prog, fn)
-		if err != nil {
+		if err := sc.reset(fn); err != nil {
 			return err
 		}
 		if err := sc.resolveFunc(); err != nil {
@@ -135,7 +167,7 @@ func (sc *scope) resolveStmt(s Stmt) error {
 			return err
 		}
 		if !x.Indirect {
-			callee := sc.prog.Func(x.Callee)
+			callee := sc.names.Func(x.Callee)
 			if len(x.Args) != len(callee.Params) {
 				return fmt.Errorf("%s: call to %s with %d args, want %d", pos, x.Callee, len(x.Args), len(callee.Params))
 			}
@@ -195,9 +227,9 @@ func (sc *scope) resolveStmt(s Stmt) error {
 func (sc *scope) resolveCallTarget(callee *string, indirect *bool, pos Pos) error {
 	name := *callee
 	switch {
-	case sc.prog.Func(name) != nil:
+	case sc.names.Func(name) != nil:
 		*indirect = false
-	case sc.fnptrs[name]:
+	case sc.fnptr(name):
 		*indirect = true
 	case sc.known(name):
 		return fmt.Errorf("%s: %q is not a function or fnptr", pos, name)
@@ -212,7 +244,7 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 	case *IntLit:
 		return x, nil
 	case *VarRef:
-		if sc.prog.Func(x.Name) != nil {
+		if sc.names.Func(x.Name) != nil {
 			return &FuncRef{Name: x.Name}, nil
 		}
 		if !sc.known(x.Name) {
@@ -220,7 +252,7 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 		}
 		return x, nil
 	case *FuncRef:
-		if sc.prog.Func(x.Name) == nil {
+		if sc.names.Func(x.Name) == nil {
 			return nil, fmt.Errorf("%s: &%s does not name a function", pos, x.Name)
 		}
 		return x, nil
@@ -247,7 +279,7 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 			return nil, err
 		}
 		if !x.Indirect {
-			callee := sc.prog.Func(x.Callee)
+			callee := sc.names.Func(x.Callee)
 			if !callee.ReturnsValue {
 				return nil, fmt.Errorf("%s: void function %s used as a value", pos, x.Callee)
 			}
@@ -306,6 +338,9 @@ func (n *normalizer) newTemp(pos Pos) string {
 
 func (n *normalizer) block(b *Block) error {
 	var out []Stmt
+	if len(b.Stmts) > 0 {
+		out = make([]Stmt, 0, len(b.Stmts))
+	}
 	for _, s := range b.Stmts {
 		pre, repl, err := n.stmt(s)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -73,13 +74,13 @@ func TestRunRoutedReadHeavy(t *testing.T) {
 // server_shed, never an error — the CI errors == 0 gate must not conflate
 // intentional load-shedding with breakage.
 func TestDoSliceCountsServerShed(t *testing.T) {
-	var n int
+	var calls atomic.Int64 // handlers run on concurrent connections
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/stats" {
 			fmt.Fprint(w, `{"cache":{}}`)
 			return
 		}
-		n++
+		n := calls.Add(1)
 		switch {
 		case n%3 == 0: // shed
 			w.Header().Set("Retry-After", "1")
